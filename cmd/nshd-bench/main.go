@@ -44,39 +44,11 @@ func main() {
 		perfOut   = flag.String("perf", "", "run compute-kernel microbenchmarks, write JSON to this file, and exit")
 		perfTrain = flag.String("perf-train", "", "run only the training-path benchmarks, write JSON to this file, and exit")
 		perfBase  = flag.String("perf-baseline", "", "with -perf-train: print deltas against this committed baseline JSON")
-		perfServe = flag.String("perf-serve", "", "run the serving load generator, write JSON to this file, and exit")
-		serveBase = flag.String("perf-serve-baseline", "", "with -perf-serve: print deltas against this committed baseline JSON")
-		perfQuant = flag.String("perf-quant", "", "run the int8-vs-float engine benchmarks, write JSON to this file, and exit")
-		quantBase = flag.String("perf-quant-baseline", "", "with -perf-quant: print deltas against this committed baseline JSON")
-		perfTail  = flag.String("perf-tail", "", "run the staged-vs-fused serving-tail benchmarks, write JSON to this file, and exit")
-		tailBase  = flag.String("perf-tail-baseline", "", "with -perf-tail: print deltas against this committed baseline JSON")
 		perfCmp   = flag.String("perf-compress", "", "run the post-training compression tradeoff benchmarks, write JSON to this file, and exit")
 		cmpBase   = flag.String("perf-compress-baseline", "", "with -perf-compress: print deltas against this committed baseline JSON")
-		perfLat   = flag.String("perf-latency", "", "run the batch-1 serving-latency benchmarks, write JSON to this file, and exit")
-		latBase   = flag.String("perf-latency-baseline", "", "with -perf-latency: embed and print deltas against this baseline JSON")
-		perfFuse  = flag.String("perf-fuse", "", "run the fused-vs-unfused extraction benchmarks, write JSON to this file, and exit")
-		fuseBase  = flag.String("perf-fuse-baseline", "", "with -perf-fuse: embed and print deltas against this baseline JSON")
-		perfRtr   = flag.String("perf-router", "", "run the sharded-router scaling benchmarks, write JSON to this file, and exit")
-		rtrBase   = flag.String("perf-router-baseline", "", "with -perf-router: print deltas against this committed baseline JSON")
-		rtrWorker = flag.String("router-worker", "", "internal: run as a perf-router shard worker (\"i/S\")")
-		rtrDuty   = flag.Float64("router-duty", 0.22, "internal: shard worker CPU duty-cycle cap")
 	)
 	flag.Parse()
 
-	if *rtrWorker != "" {
-		if err := runRouterWorker(*rtrWorker, *rtrDuty); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfRtr != "" {
-		if err := runPerfRouter(*perfRtr, *rtrBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *perfOut != "" {
 		if err := runPerf(*perfOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -91,43 +63,8 @@ func main() {
 		}
 		return
 	}
-	if *perfServe != "" {
-		if err := runPerfServe(*perfServe, *serveBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfQuant != "" {
-		if err := runPerfQuant(*perfQuant, *quantBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *perfCmp != "" {
 		if err := runPerfCompress(*perfCmp, *cmpBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfLat != "" {
-		if err := runPerfLatency(*perfLat, *latBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfFuse != "" {
-		if err := runPerfFuse(*perfFuse, *fuseBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfTail != "" {
-		if err := runPerfTail(*perfTail, *tailBase); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

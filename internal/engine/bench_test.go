@@ -48,8 +48,9 @@ func BenchmarkEnginePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePredictBatch1 is the single-request latency shape the
-// perf-latency harness measures: vgg16 prefix, batch 1, fused tail.
+// BenchmarkEnginePredictBatch1 is the single-request latency shape of the
+// edge-b1 workload (bash perfbench/run.sh --workload edge-b1): vgg16 prefix,
+// batch 1, fused tail.
 func BenchmarkEnginePredictBatch1(b *testing.B) {
 	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
 		Classes: 10, Train: 64, Test: 8, Size: 32, Noise: 0.2, Seed: 71,

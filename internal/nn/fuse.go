@@ -27,9 +27,9 @@ import (
 //
 // Bit-exactness. The fused pass produces the same float32 bits as the
 // layer-by-layer pass:
-//   - the row-tiled conv is bit-identical to ConvMulSerialInto (see
-//     conv_tile.go), which is bit-identical to the im2col and pointwise
-//     inference paths;
+//   - the row-tiled conv is bit-identical to the full-range
+//     ConvMulRowsInto call of the unfused implicit path (see conv_tile.go),
+//     which is bit-identical to the im2col and pointwise inference paths;
 //   - bias, BN and activation are elementwise with the exact per-element
 //     expressions of Conv2D.ForwardInfer / BatchNorm2D.forwardInferAct /
 //     ReLU / ReLU6, so slicing them by tile cannot change any element;

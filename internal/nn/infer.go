@@ -146,10 +146,11 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
 	// Large non-pointwise layers go through the implicit-GEMM path: column
 	// tiles are generated inside the blocked GEMM instead of materializing
-	// the full [kdim, OutH·OutW] matrix. Bit-identical to im2col + GEMM (see
-	// tensor.ConvMulSerialInto); the gate keeps tiny layers — where one
-	// flat im2col pass is cheaper than per-tile generation bookkeeping — on
-	// the materialized path, which also stays the testing reference.
+	// the full [kdim, OutH·OutW] matrix: tensor.ConvMulRowsInto over all
+	// output rows, bit-identical to im2col + GEMM. The gate keeps tiny
+	// layers — where one flat im2col pass is cheaper than per-tile
+	// generation bookkeeping — on the materialized path, which also stays
+	// the testing reference.
 	implicit := !pointwise && kdim*outH*outW >= convImplicitMinFloats
 	sampleIn := c.InC * h * w
 	var cols *tensor.Tensor
@@ -159,7 +160,7 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 		cols = ar.Wrap(x.Data[:sampleIn], kdim, outH*outW)
 		scratch = ar.Floats(tensor.GemmScratch())
 	case implicit:
-		scratch = ar.Floats(tensor.ConvGemmScratch())
+		scratch = ar.Floats(tensor.ConvTileScratch(c.OutC))
 	default:
 		cols = ar.Alloc(kdim, outH*outW)
 		scratch = ar.Floats(tensor.GemmScratch())
@@ -174,7 +175,7 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 			cols.Data = x.Data[i*sampleIn : (i+1)*sampleIn]
 			tensor.MatMulSerialInto(dst, wmat, cols, scratch)
 		case implicit:
-			tensor.ConvMulSerialInto(dst, wmat, g, x.Data[i*sampleIn:(i+1)*sampleIn], scratch)
+			tensor.ConvMulRowsInto(seg, outH*outW, 0, wmat, g, x.Data[i*sampleIn:(i+1)*sampleIn], 0, h, 0, outH, scratch)
 		default:
 			tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
 			tensor.MatMulSerialInto(dst, wmat, cols, scratch)

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,22 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 
 // ErrClosed is returned by Predict after Close.
 var ErrClosed = errors.New("serve: batcher closed")
+
+// ErrNonFinite is returned, before admission, for a request holding a NaN or
+// ±Inf value. The float and packed kernels classify such inputs differently,
+// so they are refused (HTTP 400) rather than answered.
+var ErrNonFinite = errors.New("serve: non-finite input value")
+
+// checkFinite returns ErrNonFinite, naming the first offending element, if
+// data (flat samples of sampleLen floats) holds a NaN or ±Inf.
+func checkFinite(data []float32, sampleLen int) error {
+	for i, v := range data {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return fmt.Errorf("%w: sample %d element %d is %v", ErrNonFinite, i/sampleLen, i%sampleLen, v)
+		}
+	}
+	return nil
+}
 
 // Options tune the batcher. The zero value asks for defaults everywhere.
 type Options struct {
@@ -221,6 +238,9 @@ func (b *Batcher) PredictPartial(ctx context.Context, data []float32, n int, ver
 	if len(data) != n*b.sampleLen {
 		return fmt.Errorf("serve: partial request data length %d, want %d samples × %d floats", len(data), n, b.sampleLen)
 	}
+	if err := checkFinite(data, b.sampleLen); err != nil {
+		return err
+	}
 	b.mu.RLock()
 	closed := b.closed
 	b.mu.RUnlock()
@@ -260,13 +280,16 @@ func (b *Batcher) Predict(ctx context.Context, sample []float32) (int, error) {
 // request rides the same micro-batching path as single samples; n must not
 // exceed MaxBatch (callers with genuinely large batches should use the
 // engine directly — it batches internally). data must not be mutated until
-// the call returns.
+// the call returns. Inputs holding NaN or ±Inf fail with ErrNonFinite.
 func (b *Batcher) PredictBatch(ctx context.Context, data []float32, n int) ([]int, error) {
 	if n < 1 || n > b.opts.MaxBatch {
 		return nil, fmt.Errorf("serve: request of %d samples (want 1..%d)", n, b.opts.MaxBatch)
 	}
 	if len(data) != n*b.sampleLen {
 		return nil, fmt.Errorf("serve: request data length %d, want %d samples × %d floats", len(data), n, b.sampleLen)
+	}
+	if err := checkFinite(data, b.sampleLen); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -270,7 +270,8 @@ func (r *Router) Predict(ctx context.Context, data []float32, n int) ([]int, err
 // PredictInto classifies n samples into preds (length ≥ n) using pooled
 // fan-out buffers. The answer is bit-identical to an unsharded engine's
 // PredictInto, or an explicit error when any shard slice is unavailable —
-// never a silently degraded score.
+// never a silently degraded score. Inputs holding NaN or ±Inf fail with
+// ErrNonFinite before any shard is called.
 func (r *Router) PredictInto(ctx context.Context, data []float32, n int, preds []int) error {
 	if n < 1 || n > r.maxBatch {
 		return fmt.Errorf("serve: router request of %d samples (want 1..%d)", n, r.maxBatch)
@@ -280,6 +281,11 @@ func (r *Router) PredictInto(ctx context.Context, data []float32, n int, preds [
 	}
 	if len(preds) < n {
 		return fmt.Errorf("serve: router preds length %d, want %d", len(preds), n)
+	}
+	// Refuse non-finite inputs here, before fan-out: every shard would answer
+	// them with a 400, and each non-200 counts toward ejecting a replica.
+	if err := checkFinite(data[:n*r.sampleLen], r.sampleLen); err != nil {
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -116,7 +116,7 @@ func (s *RouterServer) predictBinary(ctx context.Context, w http.ResponseWriter,
 
 // fail maps router errors: a shard slice being unavailable is a 503 (the
 // cluster is degraded — clients should back off and retry), everything else
-// a 400.
+// (malformed requests, ErrNonFinite) a 400.
 func (s *RouterServer) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):

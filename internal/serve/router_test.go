@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -480,6 +482,68 @@ func TestRouterPartialEndpointFrameSanity(t *testing.T) {
 	binary.LittleEndian.PutUint64(stale[4:], 0xDEADBEEF)
 	if got := post("/partial", stale); got != http.StatusConflict {
 		t.Fatalf("stale version: %d, want 409", got)
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN or +Inf in a binary /predict frame, to
+// a shard Server or to the RouterServer front, or in a /partial frame is a
+// 400 naming ErrNonFinite. The router refuses it before fan-out, so no
+// replica records a failure and none is ejected even at EjectAfter 1.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	p, test := buildShardPipeline(t, nil)
+	const S, n = 2, 3
+	addrs, batchers := shardFleet(t, p, S)
+	r, err := NewRouter(addrs, RouterOptions{PollInterval: -1, EjectAfter: 1, EjectCooloff: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	front := httptest.NewServer(NewRouterServer(r).Handler())
+	t.Cleanup(front.Close)
+
+	sl := r.SampleLen()
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		data := append([]float32(nil), batchOf(test, n)...)
+		data[sl+5] = bad
+		predict := make([]byte, 4+4*len(data))
+		binary.LittleEndian.PutUint32(predict, n)
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(predict[4+4*i:], math.Float32bits(v))
+		}
+		partial := appendPartialRequest(nil, data, n, r.Version())
+		for _, tc := range []struct {
+			name, url string
+			body      []byte
+		}{
+			{"shard /predict", addrs[0][0] + "/predict", predict},
+			{"router /predict", front.URL + "/predict", predict},
+			{"shard /partial", addrs[1][0] + "/partial", partial},
+		} {
+			resp, err := http.Post(tc.url, "application/octet-stream", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte(ErrNonFinite.Error())) {
+				t.Fatalf("%v via %s: %d %q, want 400 %q", bad, tc.name, resp.StatusCode, msg, ErrNonFinite)
+			}
+		}
+		if _, err := r.Predict(context.Background(), data, n); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v: Router.Predict err %v, want ErrNonFinite", bad, err)
+		}
+		if _, err := batchers[0].PredictBatch(context.Background(), data, n); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v: PredictBatch err %v, want ErrNonFinite", bad, err)
+		}
+		if err := batchers[0].PredictPartial(context.Background(), data, n, 0, &engine.PartialScores{}); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v: PredictPartial err %v, want ErrNonFinite", bad, err)
+		}
+	}
+	if st := r.Stats(); st["ejects"] != 0 || st["errors"] != 0 || st["retries"] != 0 {
+		t.Fatalf("non-finite requests reached the fleet: %v", st)
+	}
+	if _, err := r.Predict(context.Background(), batchOf(test, n), n); err != nil {
+		t.Fatalf("finite request after the rejections: %v", err)
 	}
 }
 

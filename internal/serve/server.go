@@ -256,7 +256,8 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	w.Write(sc.out)
 }
 
-// fail maps batcher errors to HTTP statuses.
+// fail maps batcher errors to HTTP statuses. Malformed requests, ErrNonFinite
+// included, fall through to 400.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):

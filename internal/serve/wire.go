@@ -111,11 +111,19 @@ func decodePartialResponse(ps *engine.PartialScores, frame []byte, wantN, wantK,
 	ps.N, ps.K, ps.Lo, ps.Hi, ps.FullD = n, k, lo, hi, fullD
 	ps.Packed = kernel == kernelPacked
 	payload := frame[partialRespHeaderLen:]
-	var want int
-	if ps.Packed {
-		want = n * k
-	} else {
-		want = ps.Blocks() * n * k
+	per := 1
+	if !ps.Packed {
+		per = ps.Blocks()
+	}
+	// want = n·k·per payload words, each factor bounded by the frame's own
+	// word count before it is multiplied in, so no expectation, however
+	// large, can overflow into a length that matches.
+	words, want := len(payload)/4, 0
+	if n > 0 && k > 0 {
+		if k > words/n || per > words/(n*k) {
+			return 0, fmt.Errorf("serve: partial response payload %d bytes, want %d×%d×%d words", len(payload), n, k, per)
+		}
+		want = n * k * per
 	}
 	if len(payload) != want*4 {
 		return 0, fmt.Errorf("serve: partial response payload %d bytes, want %d", len(payload), want*4)

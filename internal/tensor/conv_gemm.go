@@ -1,7 +1,5 @@
 package tensor
 
-import "fmt"
-
 // Implicit-GEMM convolution: dst = wmat(OutC × C·KH·KW) @ im2col(g, x)
 // without ever materializing the [C·KH·KW, OutH·OutW] column matrix. The
 // blocked GEMM already walks B in KC×NC tiles; on the asm path each tile's
@@ -16,84 +14,10 @@ import "fmt"
 // elements Im2Col would produce, and the kernel runs gemmRangeScratch's
 // schedule (same KC/NC blocking, same micro-kernels, same row/column-tail
 // kernels in the same order), so the output is bit-identical to
-// MatMulSerialInto(dst, wmat, im2col(g, x)). TestConvMulMatchesIm2Col pins
-// this across odd shapes, strides, and pads.
-
-// ConvGemmScratch returns the float32 scratch length ConvMulSerialInto
-// needs: a packed panel plus a dense column-tail tile on the asm path, one
-// full dense tile on the portable path.
-func ConvGemmScratch() int {
-	if useGemmAsm {
-		return gemmKC*gemmNC + gemmKC*gemmNR
-	}
-	return gemmKC * gemmNC
-}
-
-// ConvMulSerialInto computes dst = wmat @ im2col(g, x) for one image x
-// (length ≥ InC·InH·InW), with wmat [OutC, InC·KH·KW] and dst
-// [OutC, OutH·OutW]. Strictly serial, zero heap allocations; scratch needs
-// ConvGemmScratch() floats.
-func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []float32) {
-	kdim := g.InC * g.KH * g.KW
-	nOut := g.OutH() * g.OutW()
-	if wmat.Rank() != 2 || wmat.Shape[1] != kdim {
-		panic(fmt.Sprintf("tensor: ConvMul weight shape %v, want [*, %d]", wmat.Shape, kdim))
-	}
-	m := wmat.Shape[0]
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != nOut {
-		panic(fmt.Sprintf("tensor: ConvMul dst shape %v, want [%d %d]", dst.Shape, m, nOut))
-	}
-	if len(scratch) < ConvGemmScratch() {
-		panic(fmt.Sprintf("tensor: ConvMul scratch %d < ConvGemmScratch %d", len(scratch), ConvGemmScratch()))
-	}
-	a := wmat.Data
-	clear(dst.Data[:m*nOut])
-	for jb := 0; jb < nOut; jb += gemmNC {
-		je := jb + gemmNC
-		if je > nOut {
-			je = nOut
-		}
-		w := je - jb
-		for pb := 0; pb < kdim; pb += gemmKC {
-			pe := pb + gemmKC
-			if pe > kdim {
-				pe = kdim
-			}
-			kc := pe - pb
-			if useGemmAsm {
-				nFull := w / gemmNR * gemmNR
-				if nFull > 0 {
-					panel := scratch[:gemmKC*gemmNC]
-					convPackStrips(g, x, 0, g.InH, panel, pb, pe, jb, nFull)
-					i := 0
-					for ; i+gemmMR <= m; i += gemmMR {
-						for js := 0; js < nFull; js += gemmNR {
-							strip := panel[js*kc:]
-							gemm4x16(kc,
-								&a[i*kdim+pb], &a[(i+1)*kdim+pb], &a[(i+2)*kdim+pb], &a[(i+3)*kdim+pb],
-								&strip[0],
-								&dst.Data[i*nOut+jb+js], &dst.Data[(i+1)*nOut+jb+js],
-								&dst.Data[(i+2)*nOut+jb+js], &dst.Data[(i+3)*nOut+jb+js])
-						}
-					}
-					for ; i < m; i++ {
-						gemm1x16s(kc, nFull/gemmNR, &a[i*kdim+pb], &panel[0], &dst.Data[i*nOut+jb])
-					}
-				}
-				if nFull < w {
-					tw := w - nFull
-					tile := scratch[gemmKC*gemmNC : gemmKC*gemmNC+kc*tw]
-					im2colTile(g, x, 0, g.InH, tile, tw, pb, pe, jb+nFull, je)
-					goPanelPart(dst.Data, a, tile, nOut, kdim, tw, m, pb, pe, pb, jb+nFull, 0, tw)
-				}
-			} else {
-				tile := scratch[:kc*w]
-				im2colTile(g, x, 0, g.InH, tile, w, pb, pe, jb, je)
-				goPanelPart(dst.Data, a, tile, nOut, kdim, w, m, pb, pe, pb, jb, 0, w)
-			}
-		}
-	}
-}
+// MatMulSerialInto(dst, wmat, im2col(g, x)). The one entry point is
+// ConvMulRowsInto (conv_tile.go); a whole-image conv is its full range,
+// rows [0, OutH) over the window (xRow0, xRows) = (0, InH).
+// TestConvMulMatchesIm2Col pins this across odd shapes, strides, and pads.
 
 // convPackStrips generates im2col rows [pb, pe) × columns [jb, jb+nFull) —
 // a whole number of 16-column strips — straight into panel in packPanel16's

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestConvMulMatchesIm2Col pins the implicit-GEMM conv bit-identical to the
-// materialized im2col + MatMulSerialInto path across odd geometries: strides
-// 1–3, pads 0–2, kernel sizes through 5, spatial extents and channel counts
-// that exercise non-multiple-of-16 tile widths, KC-crossing K dims, and
-// row-tail OutC values.
+// TestConvMulMatchesIm2Col pins the whole-image implicit-GEMM conv (the
+// full-range ConvMulRowsInto call) bit-identical to the materialized
+// im2col + MatMulSerialInto path across odd geometries: strides 1–3, pads
+// 0–2, kernel sizes through 5, spatial extents and channel counts that
+// exercise non-multiple-of-16 tile widths, KC-crossing K dims, and row-tail
+// OutC values.
 func TestConvMulMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	geoms := []ConvGeom{
@@ -46,7 +47,7 @@ func TestConvMulMatchesIm2Col(t *testing.T) {
 			MatMulSerialInto(want, wmat, cols, make([]float32, GemmScratch()))
 
 			got := New(outC, nOut)
-			ConvMulSerialInto(got, wmat, g, x, make([]float32, ConvGemmScratch()))
+			ConvMulRowsInto(got.Data, nOut, 0, wmat, g, x, 0, g.InH, 0, g.OutH(), make([]float32, ConvTileScratch(outC)))
 
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {

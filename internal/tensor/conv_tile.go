@@ -6,8 +6,9 @@ import "fmt"
 // conv a handful of output rows at a time, into cache-resident tile buffers,
 // reading only a row window of the input. Output tiling splits the GEMM's N
 // dimension, which the blocked schedule already treats as embarrassingly
-// independent, so the tiled product is bit-identical to ConvMulSerialInto on
-// the full map:
+// independent, so any row tile is bit-identical to the same region of the
+// full-map product — the call over rows [0, OutH) with the whole image as
+// its window, which is how Conv2D.ForwardInfer runs an untiled conv:
 //
 //   - K blocking (the only arithmetic-relevant schedule: dst accumulates
 //     across ascending gemmKC blocks) is unchanged.
@@ -22,8 +23,8 @@ import "fmt"
 //     accumulation is independent), so tiles may chunk the interior strips
 //     differently from the full-map schedule.
 //
-// TestConvMulRowsMatchesSerial pins tiled == full across random geometries,
-// ragged tile splits, and row windows.
+// TestConvMulRowsMatchesSerial pins every tile against im2col + GEMM across
+// random geometries, ragged tile splits, and row windows.
 
 // ConvTileScratch returns the float32 scratch length ConvMulRowsInto needs
 // for a conv with outC output channels: a packed panel, a dense/strip tail
@@ -42,7 +43,7 @@ func ConvTileScratch(outC int) int {
 // (channel stride xRows·InW) and must cover every in-bounds row the
 // requested output rows read. Strictly serial, zero heap allocations;
 // scratch needs ConvTileScratch(OutC) floats. Bit-identical to the same
-// region of ConvMulSerialInto.
+// region of MatMulSerialInto(wmat, im2col(g, x)) for any row split.
 func ConvMulRowsInto(dst []float32, ldd, dstOff int, wmat *Tensor, g ConvGeom,
 	x []float32, xRow0, xRows, or0, or1 int, scratch []float32) {
 	kdim := g.InC * g.KH * g.KW

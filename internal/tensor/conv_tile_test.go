@@ -6,10 +6,11 @@ import (
 )
 
 // TestConvMulRowsMatchesSerial pins the row-tiled implicit-GEMM conv
-// bit-identical to ConvMulSerialInto across randomized geometry (stride,
-// pad, kernel, image size, channels), randomized ragged tile splits
-// (including single-row tiles, which make the halo larger than the tile for
-// every kernel taller than the stride), and minimal input row windows.
+// bit-identical to the materialized im2col + MatMulSerialInto reference
+// across randomized geometry (stride, pad, kernel, image size, channels),
+// randomized ragged tile splits (including single-row tiles, which make the
+// halo larger than the tile for every kernel taller than the stride), and
+// minimal input row windows.
 // Each tile is checked both written into a compact tile buffer and written
 // directly into the full map at its row offset.
 func TestConvMulRowsMatchesSerial(t *testing.T) {
@@ -41,8 +42,10 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 		for i := range wmat.Data {
 			wmat.Data[i] = rng.Float32()*2 - 1
 		}
+		cols := New(kdim, nOut)
+		Im2Col(g, x, cols)
 		want := New(outC, nOut)
-		ConvMulSerialInto(want, wmat, g, x, make([]float32, ConvGemmScratch()))
+		MatMulSerialInto(want, wmat, cols, make([]float32, GemmScratch()))
 
 		scratch := make([]float32, ConvTileScratch(outC))
 		direct := New(outC, nOut)

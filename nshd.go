@@ -171,6 +171,10 @@ var ErrOverloaded = serve.ErrOverloaded
 // ErrServeClosed is returned by batcher predictions after Close.
 var ErrServeClosed = serve.ErrClosed
 
+// ErrNonFinite is returned by batcher and router predictions whose input
+// holds a NaN or ±Inf value; the HTTP front ends answer it with 400.
+var ErrNonFinite = serve.ErrNonFinite
+
 // NewBatcher wraps a compiled engine in a micro-batching front end and
 // starts its flush loop; Close drains and stops it.
 func NewBatcher(e *Engine, opts BatcherOptions) (*Batcher, error) { return serve.New(e, opts) }
